@@ -34,7 +34,7 @@ use crate::refine::{refine, RefineLimits, RefineOutcome};
 use pte_core::pattern::{build_pattern_system, config::LeaseConfig};
 use pte_zones::lower::lower_network;
 use pte_zones::ta::{TaAutomaton, TaNetwork};
-use pte_zones::{check, detect_symmetry, Limits, ObserverSpec, SymbolicVerdict};
+use pte_zones::{check, detect_symmetry, fnv1a64, Limits, ObserverSpec, SymbolicVerdict};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -209,15 +209,6 @@ pub fn reset_cache() {
 }
 
 // --- structural digests ---------------------------------------------------
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A digest of `(device, contract)` invariant under renaming event roots —
 /// two slots with equal digests are interchangeable for refinement, which

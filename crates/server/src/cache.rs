@@ -39,7 +39,7 @@
 
 use parking_lot::Mutex;
 use pte_verify::api::{VerificationReport, VerificationRequest};
-use pte_zones::PassedArtifact;
+use pte_zones::{fnv1a64, PassedArtifact};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fs;
@@ -188,18 +188,6 @@ impl ReportCache {
 /// or body framing changes; files with any other version are deleted
 /// and treated as misses (never reinterpreted).
 pub const DISK_FORMAT_VERSION: u32 = 1;
-
-/// FNV-1a/64 over the raw report JSON — the disk tier's integrity
-/// check (same dependency-free hash the cache keys use; corruption
-/// detection, not authentication).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The one-line JSON header preceding the report body in a
 /// `<key>.report.json` file.

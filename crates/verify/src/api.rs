@@ -91,8 +91,8 @@ use pte_contracts::{
 use pte_core::pattern::{build_pattern_system, check_conditions, LeaseConfig};
 use pte_tracheotomy::registry;
 use pte_zones::{
-    analyze_lease_pattern, check_monitored, lower_network, ArtifactSink, CancelToken, Limits,
-    LocationReachMonitor, ModelAnalysis, PassedArtifact, Progress, ProgressFn, Scheduler,
+    analyze_lease_pattern, check_monitored, fnv1a64, lower_network, ArtifactSink, CancelToken,
+    Limits, LocationReachMonitor, ModelAnalysis, PassedArtifact, Progress, ProgressFn, Scheduler,
     SymbolicVerdict, TrippedLimit, ZonesError,
 };
 use serde::{Deserialize, Number, Serialize, Value};
@@ -634,18 +634,6 @@ pub struct ArtifactIo {
 /// persisted report cache can never serve a report produced under a
 /// different request schema.
 pub const CACHE_KEY_VERSION: u64 = 3;
-
-/// FNV-1a, 64-bit: the dependency-free stable hash behind
-/// [`VerificationRequest::cache_key`]. Not cryptographic — the cache it
-/// keys is a performance artifact, not a security boundary.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Canonicalizes a serialized [`Value`] tree for hashing: object
 /// entries are sorted by key (so the digest is independent of field

@@ -42,6 +42,7 @@
 
 use crate::analysis::ActivityMasks;
 use crate::dbm::{Bound, MinCon, MinimalDbm};
+use crate::hash::{fnv1a64, Digest};
 use crate::monitor::MonitorState;
 use crate::reach::Extrapolation;
 use crate::ta::TaNetwork;
@@ -56,67 +57,6 @@ pub const ARTIFACT_VERSION: u32 = 1;
 
 /// File magic, so a disk-cache file of the wrong kind fails fast.
 const MAGIC: [u8; 4] = *b"PTEA";
-
-/// Streaming FNV-1a/64 — the digest used for the artifact checksum and
-/// the structural digests. Deterministic across processes and
-/// platforms (unlike `std`'s `RandomState`), which is the whole point:
-/// digests are persisted and compared across daemon restarts.
-#[derive(Clone, Copy, Debug)]
-pub struct Digest(u64);
-
-impl Digest {
-    /// A fresh digest (FNV offset basis).
-    pub fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Folds a length-prefixed string (prefixing prevents boundary
-    /// ambiguity between adjacent fields).
-    pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        self.write_bytes(s.as_bytes());
-    }
-
-    /// Folds a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Folds an `i64` (little-endian two's complement).
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Folds a single byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.write_bytes(&[v]);
-    }
-
-    /// The digest value.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Digest {
-    fn default() -> Digest {
-        Digest::new()
-    }
-}
-
-/// FNV-1a/64 of a byte slice (the artifact payload checksum).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut d = Digest::new();
-    d.write_bytes(bytes);
-    d.finish()
-}
 
 /// The monitor's contribution to warm-start validity: a structural
 /// digest (which property, over which entities/targets) plus the

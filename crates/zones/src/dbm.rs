@@ -172,26 +172,107 @@ impl Dbm {
         self.m[k] = b;
     }
 
-    /// Floyd–Warshall all-pairs tightening to canonical form.
+    /// Floyd–Warshall all-pairs tightening to canonical form, over the
+    /// clocks that carry bounds.
     ///
-    /// This is the O(n³) *construction-time* closure: the engine only
-    /// needs it when a zone is built from scratch (lowering, tests) or
-    /// loosened wholesale (extrapolation). Successor computation uses
-    /// the O(n²) incremental [`Dbm::close1`] path instead.
+    /// An O(d²) scan finds the *live* rows and columns: those with a
+    /// finite off-diagonal entry, or a negative diagonal. The closure
+    /// then takes pivots `k` that are live as both row and column and
+    /// relaxes live rows only, costing O(p·r·d) for `p` live pivots and
+    /// `r` live rows. On the engine's activity-reduced zones most
+    /// clocks are freed, so `p` and `r` sit well below `d`; a zone with
+    /// every clock bounded pays the dense O(d³).
+    ///
+    /// The result is bit-identical to the dense closure:
+    ///
+    /// * a row that starts empty stays empty, because every path out of
+    ///   `i` begins with an edge out of `i`; the same holds for
+    ///   columns, so the live sets never grow during the closure;
+    /// * a dense update of `(i, j)` through `k` needs a finite `(i, k)`
+    ///   and a finite `(k, j)`, so (for `i ≠ k ≠ j`) `i` is a live row
+    ///   and `k` a live pivot. The remaining cases go through a
+    ///   diagonal, which only tightens anything when it is negative —
+    ///   and a negative diagonal marks its index live, either from the
+    ///   start or because a negative cycle through live edges made it
+    ///   so.
+    ///
+    /// Every skipped update is therefore a no-op of the dense closure,
+    /// and the updates that remain run in the same order.
+    ///
+    /// The engine only needs it when a zone is built from scratch
+    /// (lowering, tests) or loosened wholesale (extrapolation).
+    /// Successor computation uses the O(d²) incremental
+    /// [`Dbm::close1`] path instead.
     pub fn canonicalize(&mut self) {
+        let (rows, cols) = self.live_sets();
+        self.close_live(&rows, &cols);
+    }
+
+    /// The live rows and columns, as defined at [`Dbm::canonicalize`].
+    fn live_sets(&self) -> (IndexSet, IndexSet) {
         let d = self.dim;
-        for k in 0..d {
-            for i in 0..d {
-                let ik = self.m[i * d + k];
-                if ik.is_inf() {
-                    continue;
+        let mut rows = IndexSet::new(d);
+        let mut cols = IndexSet::new(d);
+        for i in 0..d {
+            for j in 0..d {
+                let b = self.m[i * d + j];
+                if (i != j && !b.is_inf()) || (i == j && b < Bound::LE_ZERO) {
+                    rows.insert(i);
+                    cols.insert(j);
                 }
+            }
+        }
+        (rows, cols)
+    }
+
+    /// The crate's one Floyd–Warshall closure: pivots `k` in
+    /// `rows ∩ cols`, relaxing only rows in `rows`. Exact whenever
+    /// `rows` (`cols`) contains every live row (column) in the sense of
+    /// [`Dbm::canonicalize`], which gives the argument.
+    fn close_live(&mut self, rows: &IndexSet, cols: &IndexSet) {
+        let d = self.dim;
+        for k in rows.iter() {
+            if !cols.contains(k) {
+                continue;
+            }
+            for i in rows.iter() {
+                let ik = self.m[i * d + k];
+                if !ik.is_inf() {
+                    self.relax_row(i, k, ik);
+                }
+            }
+        }
+    }
+
+    /// Relaxes row `i` through `k`: `(i, j) ← min((i, j), ik + (k, j))`
+    /// for every `j`, with `ik` the finite `(i, k)` read before the
+    /// sweep — the inner loop of both closures.
+    #[inline]
+    fn relax_row(&mut self, i: usize, k: usize, ik: Bound) {
+        let d = self.dim;
+        if i == k {
+            // Through the diagonal: only a negative one tightens.
+            if ik < Bound::LE_ZERO {
                 for j in 0..d {
                     let through = ik + self.m[k * d + j];
                     if through < self.m[i * d + j] {
                         self.m[i * d + j] = through;
                     }
                 }
+            }
+            return;
+        }
+        let (row_i, row_k) = if i < k {
+            let (head, tail) = self.m.split_at_mut(k * d);
+            (&mut head[i * d..(i + 1) * d], &tail[..d])
+        } else {
+            let (head, tail) = self.m.split_at_mut(i * d);
+            (&mut tail[..d], &head[k * d..(k + 1) * d])
+        };
+        for (ij, &kj) in row_i.iter_mut().zip(row_k) {
+            let through = ik + kj;
+            if through < *ij {
+                *ij = through;
             }
         }
     }
@@ -219,18 +300,9 @@ impl Dbm {
         // row `i`, whose `(i, j)` entry the caller tightened): a row
         // whose shortest path to `j` did not improve cannot improve
         // anywhere through the new edge, so pass 2 only walks the
-        // touched rows — O(n + changed·n) in practice. One u64 word per
-        // 64 rows; the engine's dimensions fit the first word.
-        let words = d.div_ceil(64);
-        let mut touched = [0u64; 4];
-        let mut touched_vec;
-        let touched: &mut [u64] = if words <= 4 {
-            &mut touched[..words]
-        } else {
-            touched_vec = vec![0u64; words];
-            &mut touched_vec
-        };
-        touched[i / 64] |= 1 << (i % 64);
+        // touched rows — O(n + changed·n) in practice.
+        let mut touched = IndexSet::new(d);
+        touched.insert(i);
         for p in 0..d {
             let pi = self.m[p * d + i];
             if pi.is_inf() {
@@ -239,24 +311,13 @@ impl Dbm {
             let through = pi + b;
             if through < self.m[p * d + j] {
                 self.m[p * d + j] = through;
-                touched[p / 64] |= 1 << (p % 64);
+                touched.insert(p);
             }
         }
-        for (w, &word) in touched.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let p = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let pj = self.m[p * d + j];
-                if pj.is_inf() {
-                    continue;
-                }
-                for q in 0..d {
-                    let through = pj + self.m[j * d + q];
-                    if through < self.m[p * d + q] {
-                        self.m[p * d + q] = through;
-                    }
-                }
+        for p in touched.iter() {
+            let pj = self.m[p * d + j];
+            if !pj.is_inf() {
+                self.relax_row(p, j, pj);
             }
         }
     }
@@ -576,11 +637,17 @@ impl Dbm {
     /// Each zone passes through it once per settle, so the engine only
     /// needs soundness and the (preserved) finite-range guarantee, not
     /// idempotence.
+    ///
+    /// The widening sweep records which rows and columns keep a finite
+    /// bound, so the re-closure runs over the live clocks only (as in
+    /// [`Dbm::canonicalize`]) without a second scan.
     pub fn extrapolate_lu_plus(&mut self, lower: &[i64], upper: &[i64]) {
         debug_assert_eq!(lower.len(), self.dim);
         debug_assert_eq!(upper.len(), self.dim);
         let d = self.dim;
         let mut changed = false;
+        let mut rows = IndexSet::new(d);
+        let mut cols = IndexSet::new(d);
         // The rules read the zone's pre-extrapolation lower bounds (the
         // reference row `c_0x`); processing rows `i ≥ 1` first and the
         // reference row last keeps those reads on the original values
@@ -589,6 +656,10 @@ impl Dbm {
         for (i, &li) in lower.iter().enumerate().take(d).skip(1) {
             // `m[0][x] < le(-k)` encodes "the zone implies x > k".
             let row_free = self.m[i] < Bound::le(-li);
+            let mut live = self.m[i * d + i] < Bound::LE_ZERO;
+            if live {
+                cols.insert(i);
+            }
             for (j, &uj) in upper.iter().enumerate().take(d) {
                 if i == j {
                     continue;
@@ -601,20 +672,35 @@ impl Dbm {
                 if b > Bound::le(li) || row_free || (j != 0 && self.m[j] < Bound::le(-uj)) {
                     self.m[idx] = Bound::INF;
                     changed = true;
+                } else {
+                    live = true;
+                    cols.insert(j);
                 }
             }
+            if live {
+                rows.insert(i);
+            }
+        }
+        if self.m[0] < Bound::LE_ZERO {
+            rows.insert(0);
+            cols.insert(0);
         }
         for (j, &uj) in upper.iter().enumerate().take(d).skip(1) {
             // `b < lt(-uj)` subsumes the zone-position test
             // `b < le(-uj)` — `lt` is the strictly tighter encoding.
             let b = self.m[j];
-            if !b.is_inf() && b < Bound::lt(-uj) {
+            if b.is_inf() {
+                continue;
+            }
+            if b < Bound::lt(-uj) {
                 self.m[j] = Bound::lt(-uj);
                 changed = true;
             }
+            rows.insert(0);
+            cols.insert(j);
         }
         if changed {
-            self.canonicalize();
+            self.close_live(&rows, &cols);
         }
     }
 
@@ -635,6 +721,15 @@ impl Dbm {
     /// `∞` entries are never stored; everything else is recovered by
     /// closure ([`MinimalDbm::restore`] is the inverse, law-tested in
     /// the crate proptests).
+    ///
+    /// Only indices with finite bounds take part: a class of size ≥ 2
+    /// and a redundancy witness `k` both need a finite row *and* column
+    /// (`linked` below), a kept `(i, j)` a finite row `i` and column
+    /// `j`. The cost is therefore O(d²) for the scan plus O(r·c·l) for
+    /// `r` live rows, `c` live columns and `l` linked indices — not the
+    /// dense O(d³). Constraints are emitted in the same order as a
+    /// dense sweep (classes by head, then `(i, j)` row-major), so the
+    /// stored form is independent of the restriction.
     pub fn reduce(&self) -> MinimalDbm {
         debug_assert!(
             !self.is_empty() && self.is_closed(),
@@ -642,64 +737,59 @@ impl Dbm {
         );
         debug_assert!(self.dim <= u8::MAX as usize, "dim fits u8 indices");
         let d = self.dim;
-        // 1. Zero-equivalence classes; rep[i] = least member of i's class.
-        let mut rep = vec![0u8; d];
-        for i in 0..d {
-            rep[i] = i as u8;
-            for j in 0..i {
+        let (rows, cols) = self.live_sets();
+        let linked: Vec<usize> = rows.iter().filter(|&i| cols.contains(i)).collect();
+        // 1. Zero-equivalence classes; rep[i] = least member of i's
+        // class. Equivalence needs both `(i, j)` and `(j, i)` finite, so
+        // only linked indices can share a class.
+        let mut rep: Vec<u8> = (0..d).map(|i| i as u8).collect();
+        for &i in &linked {
+            for &j in linked.iter().take_while(|&&j| j < i) {
                 if rep[j] as usize == j && self.get(i, j) + self.get(j, i) == Bound::LE_ZERO {
                     rep[i] = j as u8;
                     break;
                 }
             }
         }
+        let is_rep = |i: usize| rep[i] as usize == i;
         let mut cons: Vec<MinCon> = Vec::new();
+        let mut push = |i: usize, j: usize, b: Bound| {
+            cons.push(MinCon {
+                i: i as u8,
+                j: j as u8,
+                b,
+            })
+        };
         // Class cycles: members in index order, closing back to the head.
-        for head in 0..d {
-            if rep[head] as usize != head {
-                continue;
+        for &head in linked.iter().filter(|&&h| is_rep(h)) {
+            let mut prev = head;
+            for &member in linked
+                .iter()
+                .filter(|&&m| m > head && rep[m] as usize == head)
+            {
+                push(prev, member, self.get(prev, member));
+                prev = member;
             }
-            let members: Vec<usize> = (head..d).filter(|&i| rep[i] as usize == head).collect();
-            if members.len() < 2 {
-                continue;
-            }
-            for w in 0..members.len() {
-                let a = members[w];
-                let b = members[(w + 1) % members.len()];
-                cons.push(MinCon {
-                    i: a as u8,
-                    j: b as u8,
-                    b: self.get(a, b),
-                });
+            if prev != head {
+                push(prev, head, self.get(prev, head));
             }
         }
         // Representative graph: keep (i, j) unless a third representative
         // lies on an equally tight path.
-        for i in 0..d {
-            if rep[i] as usize != i {
-                continue;
-            }
-            for j in 0..d {
-                if i == j || rep[j] as usize != j {
+        let witnesses: Vec<usize> = linked.into_iter().filter(|&k| is_rep(k)).collect();
+        for i in rows.iter().filter(|&i| is_rep(i)) {
+            let row_i = &self.m[i * d..(i + 1) * d];
+            for j in cols.iter() {
+                let b = row_i[j];
+                if i == j || b.is_inf() || !is_rep(j) {
                     continue;
                 }
-                let b = self.get(i, j);
-                if b.is_inf() {
-                    continue;
-                }
-                let redundant = (0..d).any(|k| {
-                    k != i
-                        && k != j
-                        && rep[k] as usize == k
-                        && !self.get(i, k).is_inf()
-                        && self.get(i, k) + self.get(k, j) <= b
+                let redundant = witnesses.iter().any(|&k| {
+                    let ik = row_i[k];
+                    k != i && k != j && !ik.is_inf() && ik + self.m[k * d + j] <= b
                 });
                 if !redundant {
-                    cons.push(MinCon {
-                        i: i as u8,
-                        j: j as u8,
-                        b,
-                    });
+                    push(i, j, b);
                 }
             }
         }
@@ -863,14 +953,14 @@ impl MinimalDbm {
     /// [`MinimalDbm::restore`] into a caller-owned scratch matrix —
     /// the artifact-validation hot path restores thousands of zones
     /// back-to-back, and this form both reuses the allocation and
-    /// restricts the Floyd–Warshall closure to constraint endpoints:
-    /// a finite path can only *leave* a node with an outgoing stored
-    /// constraint, so rows (and pivots) without one are final from the
-    /// start. On activity-reduced zones most clocks are free in most
-    /// states, which makes the restricted closure several times
-    /// cheaper than the dense one while producing the identical
-    /// canonical matrix (negative cycles still surface on a pivot's
-    /// diagonal, so [`Dbm::is_empty`] works unchanged).
+    /// runs the live-clock closure of [`Dbm::canonicalize`] over
+    /// constraint endpoints only: a row (column) without a stored
+    /// constraint has no finite off-diagonal entry. On activity-reduced
+    /// zones most clocks are free in most states, which makes the
+    /// restricted closure several times cheaper than the dense one
+    /// while producing the identical canonical matrix (negative cycles
+    /// still surface on a pivot's diagonal, so [`Dbm::is_empty`] works
+    /// unchanged).
     pub fn restore_into(&self, z: &mut Dbm) {
         let d = self.dim as usize;
         z.dim = d;
@@ -879,35 +969,72 @@ impl MinimalDbm {
         for i in 0..d {
             z.m[i * d + i] = Bound::LE_ZERO;
         }
-        // `dim` is a u8, so 4×64 bits cover every index.
-        let mut out = [0u64; 4];
-        let mut inn = [0u64; 4];
+        let mut rows = IndexSet::new(d);
+        let mut cols = IndexSet::new(d);
         for c in self.cons.iter() {
             z.m[c.i as usize * d + c.j as usize] = c.b;
-            out[(c.i >> 6) as usize] |= 1 << (c.i & 63);
-            inn[(c.j >> 6) as usize] |= 1 << (c.j & 63);
+            rows.insert(c.i as usize);
+            cols.insert(c.j as usize);
         }
-        let bit = |mask: &[u64; 4], v: usize| mask[v >> 6] & (1u64 << (v & 63)) != 0;
-        for k in 0..d {
-            if !bit(&out, k) || !bit(&inn, k) {
-                continue;
-            }
-            for i in 0..d {
-                if !bit(&out, i) {
-                    continue;
-                }
-                let ik = z.m[i * d + k];
-                if ik.is_inf() {
-                    continue;
-                }
-                for j in 0..d {
-                    let through = ik + z.m[k * d + j];
-                    if through < z.m[i * d + j] {
-                        z.m[i * d + j] = through;
-                    }
-                }
-            }
+        z.close_live(&rows, &cols);
+    }
+}
+
+/// A set of matrix indices, one bit each, iterated in ascending order.
+/// Stored inline up to 256 indices — every dimension the engine builds
+/// — and on the heap beyond, so the closure kernels allocate nothing.
+struct IndexSet {
+    inline: [u64; 4],
+    heap: Vec<u64>,
+}
+
+impl IndexSet {
+    /// The empty set over indices `0..dim`.
+    fn new(dim: usize) -> IndexSet {
+        let words = dim.div_ceil(64);
+        IndexSet {
+            inline: [0; 4],
+            heap: if words > 4 {
+                vec![0; words]
+            } else {
+                Vec::new()
+            },
         }
+    }
+
+    fn words(&self) -> &[u64] {
+        if self.heap.is_empty() {
+            &self.inline
+        } else {
+            &self.heap
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        let words = if self.heap.is_empty() {
+            &mut self.inline[..]
+        } else {
+            &mut self.heap[..]
+        };
+        words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words()[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words().iter().enumerate().flat_map(|(w, &word)| {
+            let mut word = word;
+            std::iter::from_fn(move || {
+                (word != 0).then(|| {
+                    let bit = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    w * 64 + bit
+                })
+            })
+        })
     }
 }
 

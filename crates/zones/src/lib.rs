@@ -72,6 +72,7 @@
 pub mod analysis;
 pub mod artifact;
 pub mod dbm;
+pub mod hash;
 pub mod intern;
 pub mod lower;
 pub mod monitor;
@@ -88,6 +89,7 @@ pub use artifact::{
     ARTIFACT_VERSION,
 };
 pub use dbm::{Bound, Dbm, DbmPool, MinCon, MinimalDbm};
+pub use hash::fnv1a64;
 pub use lower::{lower_network, LowerError};
 pub use monitor::{
     LocationReachMonitor, Monitor, MonitorState, MonitorViolation, ObserverSpec, PairBounds,

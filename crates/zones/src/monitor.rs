@@ -48,8 +48,9 @@
 //!   turns the safety engine into a reachability checker (the returned
 //!   "counter-example" is a witness trace to the target location).
 
-use crate::artifact::{Digest, WarmProfile};
+use crate::artifact::WarmProfile;
 use crate::dbm::Dbm;
+use crate::hash::Digest;
 use crate::ta::{Atom, LuBounds, Rel, TaNetwork};
 use pte_core::rules::PteSpec;
 use std::fmt;

@@ -71,13 +71,25 @@
 //!
 //! ## Hot-path engineering
 //!
-//! Three layers keep the per-state cost low (PR 3):
+//! Four layers keep the per-state cost low:
 //!
 //! * **Incremental canonicalization** — guards, invariants and urgent
 //!   splits tighten zones through [`Atom::apply_and_close`]
 //!   ([`Dbm::close1`], O(n²)) instead of deferring to a full O(n³)
 //!   Floyd–Warshall per successor; the only remaining full closures run
 //!   at lowering time and inside extrapolation.
+//! * **Live-clock kernels** — those remaining closures
+//!   ([`Dbm::canonicalize`], the re-closure inside
+//!   [`Dbm::extrapolate_lu_plus`], artifact restores) and the
+//!   admission-time [`Dbm::reduce`] work only on the clocks that carry
+//!   bounds. A clock freed by the activity masks has an empty row, and a
+//!   closure never fills an empty row, so pivots and rows without a
+//!   finite bound are skipped: O(p·r·d) for `p` live pivots and `r` live
+//!   rows instead of O(d³). On the leased chains about a third of the
+//!   DBM's indices carry bounds in a typical state (chain-8: ≈11.5 of
+//!   33). Results are bit-identical to the dense kernels — the crate's
+//!   proptests compare them against dense references — so state
+//!   counts, stored zones and artifacts do not change.
 //! * **Interned, allocation-free successor plumbing** — action labels
 //!   are fixed-size `Act` codes (rendered to the PR 2 strings only
 //!   when a counter-example is reported), event roots are interned into
@@ -110,6 +122,7 @@ use crate::artifact::{
     atom_ticks, masks_digest, net_structure_digest, ArtifactSink, PassedArtifact, PassedEntry,
 };
 use crate::dbm::{Dbm, DbmPool, MinimalDbm};
+use crate::hash::Digest;
 use crate::intern::Interner;
 use crate::monitor::{
     Monitor, MonitorState, MonitorViolation, ObserverSpec, PteMonitor, TransitionCtx,
@@ -506,17 +519,18 @@ type Key = (Vec<u32>, MonitorState);
 /// — is identical across worker counts.
 pub const SHARD_COUNT: usize = 64;
 
-/// FNV-1a over the discrete part of a state: deterministic across runs,
-/// platforms, and (unlike `std`'s `RandomState`) processes.
+/// FNV-1a over the discrete part of a state, one step per location and
+/// observer word: deterministic across runs, platforms, and (unlike
+/// `std`'s `RandomState`) processes.
 fn shard_of(key: &Key) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Digest::new();
     for &l in &key.0 {
-        h = (h ^ u64::from(l)).wrapping_mul(0x0000_0100_0000_01b3);
+        h.write_word(u64::from(l));
     }
     for &p in &key.1 {
-        h = (h ^ u64::from(p)).wrapping_mul(0x0000_0100_0000_01b3);
+        h.write_word(u64::from(p));
     }
-    (h % SHARD_COUNT as u64) as usize
+    (h.finish() % SHARD_COUNT as u64) as usize
 }
 
 /// Global node address: shard index + index into the shard's arena.
@@ -1777,7 +1791,12 @@ impl Engine<'_> {
                     }
                 }
             }
-            let entry = shared.deques[wid].lock().pop_front().or_else(|| {
+            // Own-deque pop as a statement of its own: its guard must be
+            // dropped before a victim's deque is locked, or two workers
+            // stealing from each other hold one lock each and wait for
+            // the other's (ABBA deadlock).
+            let own = shared.deques[wid].lock().pop_front();
+            let entry = own.or_else(|| {
                 (1..workers).find_map(|d| {
                     let stolen = shared.deques[(wid + d) % workers].lock().pop_back();
                     if stolen.is_some() {

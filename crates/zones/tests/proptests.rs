@@ -3,10 +3,16 @@
 //! Zones are generated by applying random operation sequences to the
 //! origin zone — exactly how the reachability engine produces them — so
 //! the laws are exercised on representative matrices, not just
-//! hand-picked ones.
+//! hand-picked ones. Scripts free clocks too, as the engine's activity
+//! masks do, so every law also runs on zones whose freed rows carry no
+//! bound — the case the live-clock kernels skip.
+//!
+//! The `*_matches_dense` properties pin the live-clock kernels
+//! (`canonicalize`, `extrapolate_lu_plus`, `reduce`) to the dense
+//! textbook algorithms kept below as test-local references.
 
 use proptest::prelude::*;
-use pte_zones::dbm::{Bound, Dbm};
+use pte_zones::dbm::{Bound, Dbm, MinCon};
 
 const CLOCKS: usize = 4;
 
@@ -17,6 +23,7 @@ enum Op {
     Reset(usize, i64),
     UpperBound(usize, i64),
     LowerBound(usize, i64),
+    Free(usize),
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -25,27 +32,168 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
         (1usize..=CLOCKS, 0i64..50).prop_map(|(c, v)| Op::Reset(c, v)),
         (1usize..=CLOCKS, 0i64..100).prop_map(|(c, v)| Op::UpperBound(c, v)),
         (1usize..=CLOCKS, 0i64..100).prop_map(|(c, v)| Op::LowerBound(c, v)),
+        (1usize..=CLOCKS).prop_map(Op::Free),
     ];
     proptest::collection::vec(op, 0..12)
+}
+
+/// Applies one op without re-closing the matrix.
+fn apply(z: &mut Dbm, op: &Op) {
+    match op {
+        Op::Up => z.up(),
+        Op::Reset(c, v) => z.reset(*c, *v),
+        Op::UpperBound(c, v) => {
+            z.constrain(*c, 0, Bound::le(*v));
+        }
+        Op::LowerBound(c, v) => {
+            z.constrain(0, *c, Bound::le(-*v));
+        }
+        Op::Free(c) => z.free(*c),
+    }
 }
 
 /// Builds a canonical zone from an op script (may be empty).
 fn zone_from(ops: &[Op]) -> Dbm {
     let mut z = Dbm::zero(CLOCKS);
     for op in ops {
-        match op {
-            Op::Up => z.up(),
-            Op::Reset(c, v) => z.reset(*c, *v),
-            Op::UpperBound(c, v) => {
-                z.constrain(*c, 0, Bound::le(*v));
-            }
-            Op::LowerBound(c, v) => {
-                z.constrain(0, *c, Bound::le(-*v));
-            }
-        }
+        apply(&mut z, op);
         z.canonicalize();
     }
     z
+}
+
+/// Per-clock bound vectors (entry 0, the reference, is ignored).
+fn bounds() -> impl Strategy<Value = Vec<i64>> {
+    proptest::collection::vec(0i64..60, CLOCKS + 1)
+}
+
+/// Reference: the dense O(d³) Floyd–Warshall over every pivot and row.
+fn dense_canonicalize(z: &mut Dbm) {
+    let d = z.clocks() + 1;
+    for k in 0..d {
+        for i in 0..d {
+            let ik = z.get(i, k);
+            if ik.is_inf() {
+                continue;
+            }
+            for j in 0..d {
+                let through = ik + z.get(k, j);
+                if through < z.get(i, j) {
+                    z.set(i, j, through);
+                }
+            }
+        }
+    }
+}
+
+/// Reference: `Extra⁺_LU` widening followed by the dense closure.
+fn dense_extrapolate_lu_plus(z: &mut Dbm, lower: &[i64], upper: &[i64]) {
+    let mut changed = false;
+    for (i, &li) in lower.iter().enumerate().skip(1) {
+        let row_free = z.get(0, i) < Bound::le(-li);
+        for (j, &uj) in upper.iter().enumerate() {
+            let b = z.get(i, j);
+            if i == j || b.is_inf() {
+                continue;
+            }
+            if b > Bound::le(li) || row_free || (j != 0 && z.get(0, j) < Bound::le(-uj)) {
+                z.set(i, j, Bound::INF);
+                changed = true;
+            }
+        }
+    }
+    for (j, &uj) in upper.iter().enumerate().skip(1) {
+        let b = z.get(0, j);
+        if !b.is_inf() && b < Bound::lt(-uj) {
+            z.set(0, j, Bound::lt(-uj));
+            changed = true;
+        }
+    }
+    if changed {
+        dense_canonicalize(z);
+    }
+}
+
+/// Reference: the dense minimal-form reduction over every index.
+fn dense_reduce(z: &Dbm) -> Vec<MinCon> {
+    let d = z.clocks() + 1;
+    let mut rep = vec![0usize; d];
+    for i in 0..d {
+        rep[i] = i;
+        for j in 0..i {
+            if rep[j] == j && z.get(i, j) + z.get(j, i) == Bound::LE_ZERO {
+                rep[i] = j;
+                break;
+            }
+        }
+    }
+    let con = |i: usize, j: usize| MinCon {
+        i: i as u8,
+        j: j as u8,
+        b: z.get(i, j),
+    };
+    let mut cons = Vec::new();
+    for head in 0..d {
+        if rep[head] != head {
+            continue;
+        }
+        let members: Vec<usize> = (head..d).filter(|&i| rep[i] == head).collect();
+        if members.len() < 2 {
+            continue;
+        }
+        for w in 0..members.len() {
+            cons.push(con(members[w], members[(w + 1) % members.len()]));
+        }
+    }
+    for i in (0..d).filter(|&i| rep[i] == i) {
+        for j in (0..d).filter(|&j| j != i && rep[j] == j) {
+            let b = z.get(i, j);
+            if b.is_inf() {
+                continue;
+            }
+            let redundant = (0..d).any(|k| {
+                k != i
+                    && k != j
+                    && rep[k] == k
+                    && !z.get(i, k).is_inf()
+                    && z.get(i, k) + z.get(k, j) <= b
+            });
+            if !redundant {
+                cons.push(con(i, j));
+            }
+        }
+    }
+    cons
+}
+
+/// An arbitrary (generally non-canonical) matrix: each entry is `∞`,
+/// `≤ v` or `< v` — negative values and diagonals included, so negative
+/// cycles and pre-marked empty zones occur.
+fn raw_matrix() -> impl Strategy<Value = Dbm> {
+    let entry = (0u8..5, -20i64..40).prop_map(|(kind, v)| match kind {
+        0 => Bound::le(v),
+        1 => Bound::lt(v),
+        _ => Bound::INF,
+    });
+    let diag = (0u8..8, -3i64..3).prop_map(|(kind, v)| match kind {
+        0 => Bound::lt(v),
+        1 => Bound::le(v),
+        _ => Bound::LE_ZERO,
+    });
+    (
+        proptest::collection::vec(entry, (CLOCKS + 1) * (CLOCKS + 1)),
+        proptest::collection::vec(diag, CLOCKS + 1),
+    )
+        .prop_map(|(entries, diag)| {
+            let d = CLOCKS + 1;
+            let mut z = Dbm::universe(CLOCKS);
+            for i in 0..d {
+                for j in 0..d {
+                    z.set(i, j, if i == j { diag[i] } else { entries[i * d + j] });
+                }
+            }
+            z
+        })
 }
 
 proptest! {
@@ -347,5 +495,59 @@ proptest! {
         prop_assert!(renamed.remap(&inv) == z, "remap(p) ∘ remap(p⁻¹) must be the identity");
         // A permutation also commutes with emptiness and self-inclusion.
         prop_assert_eq!(renamed.is_empty(), z.is_empty());
+    }
+
+    /// The live-clock closure equals the dense Floyd–Warshall after every
+    /// step of a script — on the non-canonical matrices the ops leave
+    /// behind, empty-marked ones included.
+    #[test]
+    fn canonicalize_matches_dense_along_scripts(script in ops()) {
+        let mut z = Dbm::zero(CLOCKS);
+        for op in &script {
+            apply(&mut z, op);
+            let mut dense = z.clone();
+            dense_canonicalize(&mut dense);
+            z.canonicalize();
+            prop_assert!(z == dense, "live closure diverged after {:?}", op);
+        }
+    }
+
+    /// The live-clock closure equals the dense Floyd–Warshall on
+    /// arbitrary matrices: rows and columns without bounds, negative
+    /// cycles and negative diagonals.
+    #[test]
+    fn canonicalize_matches_dense_on_raw_matrices(raw in raw_matrix()) {
+        let mut live = raw.clone();
+        live.canonicalize();
+        let mut dense = raw;
+        dense_canonicalize(&mut dense);
+        prop_assert!(live == dense);
+    }
+
+    /// `Extra⁺_LU` with its sweep-collected live sets equals widening
+    /// plus the dense closure, for arbitrary per-clock bound vectors.
+    #[test]
+    fn lu_plus_extrapolation_matches_dense(script in ops(), ls in bounds(), us in bounds()) {
+        let z = zone_from(&script);
+        prop_assume!(!z.is_empty());
+        let mut live = z.clone();
+        live.extrapolate_lu_plus(&ls, &us);
+        let mut dense = z;
+        dense_extrapolate_lu_plus(&mut dense, &ls, &us);
+        prop_assert!(live == dense);
+    }
+
+    /// The restricted reduction emits exactly the dense reduction's
+    /// constraint list, in the same order — the stored passed-list
+    /// bytes and artifacts do not depend on the restriction.
+    #[test]
+    fn reduce_matches_dense(script in ops(), ls in bounds(), us in bounds(), widen in 0u8..2) {
+        let mut z = zone_from(&script);
+        prop_assume!(!z.is_empty());
+        if widen == 1 {
+            z.extrapolate_lu_plus(&ls, &us);
+        }
+        let reduced = z.reduce();
+        prop_assert_eq!(reduced.constraints().to_vec(), dense_reduce(&z));
     }
 }

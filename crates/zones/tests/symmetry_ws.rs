@@ -182,6 +182,43 @@ fn work_stealing_proof_agrees_with_barrier() {
     );
 }
 
+/// Regression: two idle workers stealing from each other at once must
+/// not deadlock. The 2-worker work-stealing proof runs many times on a
+/// helper thread; a watchdog fails the test when the runs stop making
+/// progress, instead of letting the suite hang.
+#[test]
+fn work_stealing_never_deadlocks_at_two_workers() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    const RUNS: usize = 1000;
+    let (done, progress) = mpsc::channel();
+    // Joined only on success: a deadlocked helper cannot be joined, so
+    // the watchdog fails the test and leaves it behind.
+    let runner = std::thread::spawn(move || {
+        let cfg = LeaseConfig::chain(2);
+        let l = limits(2, true, Scheduler::WorkStealing);
+        for run in 0..RUNS {
+            let verdict = check_lease_pattern_with(&cfg, true, &l).unwrap();
+            assert!(verdict.is_safe(), "run {run}: {verdict}");
+            if done.send(run).is_err() {
+                return;
+            }
+        }
+    });
+    for run in 0..RUNS {
+        match progress.recv_timeout(Duration::from_secs(30)) {
+            Ok(_) => {}
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("work-stealing run {run} of {RUNS} made no progress in 30 s: deadlock")
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                panic!("work-stealing run {run} of {RUNS} panicked")
+            }
+        }
+    }
+    runner.join().expect("the proof runner finished cleanly");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
